@@ -27,14 +27,14 @@ int main() {
   std::printf("flowgraph:\n%s",
               toEdgeListText(A.cfg().graph(), Label).c_str());
   std::printf("data dependence (def -> use):\n%s",
-              toEdgeListText(A.pdg().Data, Label).c_str());
+              toEdgeListText(*A.pdg().Data, Label).c_str());
 
   R.section("Figure 2-c (control dependence)");
   std::printf("%s", toEdgeListText(A.pdg().Control, Label).c_str());
 
   R.section("paper vs measured (prose claims)");
   std::set<unsigned> DefsOf12;
-  for (unsigned Def : A.pdg().Data.preds(nodeOn(A, 12)))
+  for (unsigned Def : A.pdg().Data->preds(nodeOn(A, 12)))
     DefsOf12.insert(A.cfg().node(Def).S->getLoc().Line);
   R.expectLines("node 12 data dependent on", DefsOf12, {2, 7});
 

@@ -105,6 +105,14 @@ ErrorOr<std::unique_ptr<Program>> parseProgram(const std::string &Source);
 ErrorOr<std::unique_ptr<Program>> parseProgram(const std::string &Source,
                                                ResourceGuard &Guard);
 
+/// A checked program and the guard steps its parse charged, for a
+/// caller that parses once and analyzes later under a fresh guard: the
+/// later stage can then charge the parse as if it had parsed itself.
+struct ParsedProgram {
+  std::unique_ptr<Program> Prog;
+  uint64_t Steps = 0;
+};
+
 } // namespace jslice
 
 #endif // JSLICE_LANG_PARSER_H

@@ -326,16 +326,15 @@ bool TcpServer::start(std::string &Err) {
     }
   }
 
+  // Read back once, here: the drain closes the listener on a reactor
+  // thread, after which its fd number may belong to another socket.
+  Port = tcpLocalPort(Shards[0]->ListenFd);
   Srv.setTransportStats([this] { return transportJson(); });
   Srv.setHealthProbe([this] { return healthProbeJson(); });
   return true;
 }
 
-uint16_t TcpServer::port() const {
-  return !Shards.empty() && Shards[0]->ListenFd >= 0
-             ? tcpLocalPort(Shards[0]->ListenFd)
-             : 0;
-}
+uint16_t TcpServer::port() const { return Port; }
 
 void TcpServer::requestStop() {
   StopRequested.store(true, std::memory_order_relaxed);
@@ -873,7 +872,7 @@ bool TcpServer::start(std::string &Err) {
   Err = "TCP transport unavailable on this platform";
   return false;
 }
-uint16_t TcpServer::port() const { return 0; }
+uint16_t TcpServer::port() const { return Port; }
 void TcpServer::requestStop() {
   StopRequested.store(true, std::memory_order_relaxed);
 }

@@ -295,6 +295,7 @@ private:
   std::mutex LogM; ///< Shards share the operational log stream.
   std::vector<std::unique_ptr<Shard>> Shards;
   bool UseReusePort = false;
+  uint16_t Port = 0; ///< Bound port, set by start().
   /// Wake-pipe write fds, immutable after start(): requestStop() runs
   /// in signal context and may only flag-store and write().
   std::vector<int> WakeWriteFds;

@@ -23,7 +23,7 @@ Pdg::backwardClosure(const std::vector<unsigned> &Seeds) const {
     for (unsigned Dep : Control.preds(Node))
       if (Slice.insert(Dep).second)
         Worklist.push_back(Dep);
-    for (unsigned Dep : Data.preds(Node))
+    for (unsigned Dep : Data->preds(Node))
       if (Slice.insert(Dep).second)
         Worklist.push_back(Dep);
   }
@@ -47,7 +47,7 @@ std::vector<unsigned> Pdg::growClosure(std::set<unsigned> &Slice,
         Worklist.push_back(Dep);
       }
     }
-    for (unsigned Dep : Data.preds(Cur)) {
+    for (unsigned Dep : Data->preds(Cur)) {
       if (Slice.insert(Dep).second) {
         Added.push_back(Dep);
         Worklist.push_back(Dep);

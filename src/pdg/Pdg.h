@@ -19,6 +19,7 @@
 
 #include "graph/Digraph.h"
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -26,18 +27,26 @@ namespace jslice {
 
 /// Control and data dependence, kept separate (the paper's algorithms
 /// need "directly control dependent" queries) plus merged on demand.
+/// The data edges are held by shared pointer: the Ball–Horwitz
+/// augmented PDG differs from the plain one only in control
+/// dependence, so the two share one data graph instead of copying it.
 struct Pdg {
   Digraph Control;
-  Digraph Data;
+  std::shared_ptr<const Digraph> Data;
 
   Pdg(Digraph Control, Digraph Data)
+      : Control(std::move(Control)),
+        Data(std::make_shared<const Digraph>(std::move(Data))) {}
+
+  /// Shares \p Data with another Pdg over the same CFG.
+  Pdg(Digraph Control, std::shared_ptr<const Digraph> Data)
       : Control(std::move(Control)), Data(std::move(Data)) {}
 
   /// The merged graph (Figure 2-d style).
   Digraph combined() const {
     Digraph Out = Control;
-    for (unsigned From = 0, N = Data.numNodes(); From != N; ++From)
-      for (unsigned To : Data.succs(From))
+    for (unsigned From = 0, N = Data->numNodes(); From != N; ++From)
+      for (unsigned To : Data->succs(From))
         Out.addEdge(From, To);
     return Out;
   }

@@ -48,8 +48,16 @@ std::string jslice::rawProgramKey(const std::string &Source) {
 
 std::optional<std::string>
 jslice::canonicalProgramKey(const std::string &Source, ResourceGuard &G) {
+  ParsedProgram Unused;
+  return canonicalProgramKey(Source, G, Unused);
+}
+
+std::optional<std::string>
+jslice::canonicalProgramKey(const std::string &Source, ResourceGuard &G,
+                            ParsedProgram &Parsed) {
   if (!G.checkpoint("cache.key"))
     return std::nullopt;
+  uint64_t StepsBefore = G.steps();
   ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(Source, G);
   if (!Prog || G.exhausted())
     return std::nullopt;
@@ -58,7 +66,10 @@ jslice::canonicalProgramKey(const std::string &Source, ResourceGuard &G) {
   // and responses are line sets, so sources whose statements sit on
   // different lines must never share an artifact.
   P.ShowLineNumbers = true;
-  return hashKey(printProgram(**Prog, P));
+  std::string Key = hashKey(printProgram(**Prog, P));
+  Parsed.Prog = std::move(*Prog);
+  Parsed.Steps = G.steps() - StepsBefore;
+  return Key;
 }
 
 uint64_t jslice::estimateArtifactCost(const AnalysisArtifact &Art,
@@ -244,6 +255,7 @@ AnalysisCache::lookup(const std::string &Key,
 
 void AnalysisCache::publish(const std::string &Key,
                             std::shared_ptr<const AnalysisArtifact> Art) {
+  Evicted Dead; // Freed after the lock is released (declared first).
   std::lock_guard<std::mutex> Lock(M);
   auto It = Slots.find(Key);
   if (It == Slots.end())
@@ -252,7 +264,7 @@ void AnalysisCache::publish(const std::string &Key,
   if (S.St == State::Quarantined)
     return; // Quarantine outranks a late publish.
   if (S.St == State::Ready)
-    evictSlotLocked(It, /*Watermark=*/false); // Replace (re-find below).
+    evictSlotLocked(It, /*Watermark=*/false, Dead); // Replace (re-find below).
   It = Slots.find(Key);
   if (It == Slots.end())
     It = Slots.emplace(Key, Slot()).first;
@@ -271,7 +283,7 @@ void AnalysisCache::publish(const std::string &Key,
   while ((Bytes_ > Opts.MaxBytes ||
           Lru.size() > Opts.MaxEntries) &&
          Lru.size() > 1)
-    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/false);
+    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/false, Dead);
   CV.notify_all();
 }
 
@@ -299,6 +311,7 @@ void AnalysisCache::buildFailed(const std::string &Key) {
 }
 
 void AnalysisCache::quarantine(const std::string &Key) {
+  Evicted Dead;
   std::lock_guard<std::mutex> Lock(M);
   auto It = Slots.find(Key);
   if (It == Slots.end())
@@ -307,7 +320,7 @@ void AnalysisCache::quarantine(const std::string &Key) {
   if (S.St == State::Ready) {
     Bytes_ -= S.Art->CostBytes;
     Lru.erase(S.LruIt);
-    S.Art.reset();
+    Dead.push_back(std::move(S.Art));
   }
   S.St = State::Quarantined;
   S.NeedLeader = false;
@@ -315,28 +328,28 @@ void AnalysisCache::quarantine(const std::string &Key) {
 }
 
 void AnalysisCache::invalidate(const std::string &Key) {
+  Evicted Dead;
   std::lock_guard<std::mutex> Lock(M);
   auto It = Slots.find(Key);
   if (It != Slots.end() && It->second.St == State::Ready)
-    evictSlotLocked(It, /*Watermark=*/false);
+    evictSlotLocked(It, /*Watermark=*/false, Dead);
 }
 
 void AnalysisCache::auditMismatch(const std::string &Key) {
+  Evicted Dead;
   std::lock_guard<std::mutex> Lock(M);
   ++Counters.AuditMismatches;
   auto It = Slots.find(Key);
   if (It != Slots.end() && It->second.St == State::Ready)
-    evictSlotLocked(It, /*Watermark=*/false);
+    evictSlotLocked(It, /*Watermark=*/false, Dead);
 }
 
 uint64_t AnalysisCache::evictToward(uint64_t TargetBytes) {
+  Evicted Dead;
   std::lock_guard<std::mutex> Lock(M);
-  uint64_t Evicted = 0;
-  while (Bytes_ > TargetBytes && !Lru.empty()) {
-    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/true);
-    ++Evicted;
-  }
-  return Evicted;
+  while (Bytes_ > TargetBytes && !Lru.empty())
+    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/true, Dead);
+  return Dead.size();
 }
 
 uint64_t AnalysisCache::bytes() const {
@@ -373,11 +386,12 @@ CacheStats AnalysisCache::stats() const {
 }
 
 void AnalysisCache::evictSlotLocked(std::map<std::string, Slot>::iterator It,
-                                    bool Watermark) {
+                                    bool Watermark, Evicted &Dead) {
   if (It == Slots.end() || It->second.St != State::Ready)
     return;
   Bytes_ -= It->second.Art->CostBytes;
   Lru.erase(It->second.LruIt);
+  Dead.push_back(std::move(It->second.Art));
   Slots.erase(It);
   ++Counters.Evictions;
   if (Watermark)

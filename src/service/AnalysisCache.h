@@ -65,6 +65,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace jslice {
 
@@ -161,6 +162,13 @@ std::string rawProgramKey(const std::string &Source);
 std::optional<std::string> canonicalProgramKey(const std::string &Source,
                                                ResourceGuard &G);
 
+/// As above, and on success hands the parsed program to \p Parsed, so
+/// a cold request analyzes that AST instead of parsing the source
+/// again. \p Parsed is left untouched when nullopt is returned.
+std::optional<std::string> canonicalProgramKey(const std::string &Source,
+                                               ResourceGuard &G,
+                                               ParsedProgram &Parsed);
+
 /// The cache. All public methods are thread-safe.
 class AnalysisCache {
 public:
@@ -249,8 +257,14 @@ private:
     std::list<std::string>::iterator LruIt; ///< Ready only.
   };
 
+  /// Artifacts removed under the lock. Callers declare one before
+  /// taking the lock, so the last references (a whole AST, CFG, PDG and
+  /// closure set each) are dropped after it is released, not while
+  /// every lookup waits.
+  using Evicted = std::vector<std::shared_ptr<const AnalysisArtifact>>;
+
   void evictSlotLocked(std::map<std::string, Slot>::iterator It,
-                       bool Watermark);
+                       bool Watermark, Evicted &Dead);
   void sweepStaleFailuresLocked();
 
   CacheOptions Opts;

@@ -78,6 +78,13 @@ LadderResult jslice::runLadder(const std::string &Source,
                                const Criterion &Crit,
                                SliceAlgorithm Requested,
                                const LadderOptions &Opts) {
+  return runLadder(Source, ParsedProgram(), Crit, Requested, Opts);
+}
+
+LadderResult jslice::runLadder(const std::string &Source,
+                               ParsedProgram Parsed, const Criterion &Crit,
+                               SliceAlgorithm Requested,
+                               const LadderOptions &Opts) {
   LadderResult Out;
   Out.Requested = Requested;
 
@@ -102,7 +109,16 @@ LadderResult jslice::runLadder(const std::string &Source,
     }
 
     backoff(Opts, Rung);
-    ErrorOr<Analysis> A = Analysis::fromSource(Source, rungBudget(Opts, Rung));
+    Budget RB = rungBudget(Opts, Rung);
+    ErrorOr<Analysis> A = [&] {
+      if (!Parsed.Prog)
+        return Analysis::fromSource(Source, RB);
+      // Rung 0 pays for the caller's parse as if it had parsed itself
+      // (leaving at least one step: 0 would mean unlimited).
+      if (RB.MaxSteps)
+        RB.MaxSteps -= std::min(RB.MaxSteps - 1, Parsed.Steps);
+      return Analysis::fromProgram(std::move(Parsed.Prog), RB);
+    }();
     if (!A) {
       if (!A.diags().hasKind(DiagKind::ResourceExhausted)) {
         // Malformed input fails the same way on every rung; refuse now.

@@ -30,7 +30,9 @@
 /// under its own ResourceGuard: a budget tripped during analysis, not
 /// just during slicing, also walks the ladder — a cheaper algorithm
 /// won't save it, but the smaller rung budgets keep the total latency
-/// bounded and the refusal deterministic.
+/// bounded and the refusal deterministic. The one exception is a parse
+/// the caller already made: rung 0 analyzes it instead of parsing
+/// again (a cold cached request parses once).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,6 +111,15 @@ bool conservativeTierEligible(const Analysis &A);
 /// Runs the ladder for (\p Source, \p Crit, \p Requested).
 LadderResult runLadder(const std::string &Source, const Criterion &Crit,
                        SliceAlgorithm Requested, const LadderOptions &Opts);
+
+/// As above, with rung 0 analyzing \p Parsed — the caller's own parse
+/// of \p Source (the service's cache key parses it) — instead of
+/// parsing again. Rung 0's step budget is reduced by Parsed.Steps, so
+/// it trips where a rung that parsed for itself would. Later rungs
+/// parse from source; a null Parsed.Prog makes this the overload above.
+LadderResult runLadder(const std::string &Source, ParsedProgram Parsed,
+                       const Criterion &Crit, SliceAlgorithm Requested,
+                       const LadderOptions &Opts);
 
 } // namespace jslice
 

@@ -98,7 +98,10 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
   B.Cancel = Cancel;
 
   // Cache front half: key, lookup, hit/refuse, or become the leader.
+  // A raw-key memo miss parses the program for its canonical key; that
+  // AST is kept for the ladder's first rung, so the request parses once.
   std::string LeaderKey;
+  ParsedProgram KeyParse;
   if (Cache && Cache->options().Enabled &&
       R.Algorithm != SliceAlgorithm::Weiser) {
     std::optional<std::string> Key;
@@ -106,7 +109,7 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
       ResourceGuard KeyG(B);
       std::string RawK = rawProgramKey(R.Program);
       Key = Cache->canonicalKeyFor(RawK);
-      if (!Key && (Key = canonicalProgramKey(R.Program, KeyG)))
+      if (!Key && (Key = canonicalProgramKey(R.Program, KeyG, KeyParse)))
         Cache->rememberCanonicalKey(RawK, *Key);
       if (Key && !KeyG.checkpoint("cache.lookup"))
         Key.reset();
@@ -152,8 +155,8 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
 
   LadderOptions L = Cfg.Ladder;
   L.B = B;
-  LadderResult Res =
-      runLadder(R.Program, Criterion(R.Line, R.Vars), R.Algorithm, L);
+  LadderResult Res = runLadder(R.Program, std::move(KeyParse),
+                               Criterion(R.Line, R.Vars), R.Algorithm, L);
 
   for (const LadderAttempt &A : Res.Attempts) {
     TierReport T;

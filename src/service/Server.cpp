@@ -879,6 +879,15 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
       !JournalLost.load(std::memory_order_relaxed) &&
       !Wal.end(Resp.Id, responseStatusName(Resp.Status)))
     noteJournalFailure();
+  recordOutcome(Resp.Status, Resp.ServedTier, Resp.Degraded, LatencyMs,
+                RungTrips, ShedCause);
+  // Retire the id before the response leaves: a client may resubmit it
+  // the moment it reads the response, and must not find it in flight.
+  {
+    std::lock_guard<std::mutex> Lock(StateM);
+    Registry.erase(Resp.Id);
+  }
+  QueueDepth.fetch_sub(1, std::memory_order_relaxed);
   if (Raw) {
     // Pass the worker's line through, stamped with the latency the
     // caller actually experienced (IPC included).
@@ -892,14 +901,6 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
   } else {
     writeResponse(Resp, Sink);
   }
-  recordOutcome(Resp.Status, Resp.ServedTier, Resp.Degraded, LatencyMs,
-                RungTrips, ShedCause);
-
-  {
-    std::lock_guard<std::mutex> Lock(StateM);
-    Registry.erase(Resp.Id);
-  }
-  QueueDepth.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Server::writeResponse(const ServiceResponse &R,

@@ -53,10 +53,27 @@ Analysis::Analysis(std::unique_ptr<Program> Prog, Cfg Built,
       RD(ReachingDefinitions::compute(C, DU, GuardPtr.get())),
       P(buildControlDependence(C.graph(), Pdt, GuardPtr.get()),
         buildDataDependence(C, DU, RD)),
-      AugGraph(C.buildAugmentedGraph(Lst.parents())),
-      AugPdt(computePostDominators(AugGraph, C.exit(), GuardPtr.get())),
-      AugP(buildControlDependence(AugGraph, AugPdt, GuardPtr.get()), P.Data),
+      Aug(std::make_unique<BuildOnce<AugmentedTier>>()),
       CondJumps(findCondJumpPairs(C)) {}
+
+std::unique_ptr<AugmentedTier>
+Analysis::buildAugmentedTier(ResourceGuard &G) const {
+  if (G.exhausted())
+    return nullptr;
+  Digraph Graph = C.buildAugmentedGraph(Lst.parents());
+  DomTree AugPdt = computePostDominators(Graph, C.exit(), &G);
+  Digraph Control = buildControlDependence(Graph, AugPdt, &G);
+  // A trip leaves the postdominators unconverged: never keep that.
+  if (G.exhausted())
+    return nullptr;
+  return std::make_unique<AugmentedTier>(
+      AugmentedTier{std::move(Graph), std::move(AugPdt),
+                    Pdg(std::move(Control), P.Data)});
+}
+
+const AugmentedTier *Analysis::augmentedTier(ResourceGuard &G) const {
+  return Aug->get([&] { return buildAugmentedTier(G); });
+}
 
 ErrorOr<Analysis> Analysis::fromSource(const std::string &Source) {
   return fromSource(Source, Budget::unlimited());

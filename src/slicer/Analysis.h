@@ -8,9 +8,14 @@
 /// \file
 /// Everything the slicing algorithms consume, built once per program:
 /// the CFG, the lexical successor tree, the postdominator tree, def/use
-/// and reaching definitions, the program dependence graph, and — for the
-/// Ball–Horwitz / Choi–Ferrante baseline — the augmented flowgraph with
-/// its own postdominator tree and control dependence graph.
+/// and reaching definitions, and the program dependence graph. The
+/// paper's own algorithms (Figures 7, 12, 13) need nothing more.
+///
+/// The Ball–Horwitz / Choi–Ferrante baseline also needs the augmented
+/// flowgraph with its own postdominator tree and control dependence
+/// graph. That tier is built on first use, not with the Analysis: most
+/// requests never ask for it. Its PDG shares the plain PDG's data
+/// edges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,12 +30,23 @@
 #include "lang/Parser.h"
 #include "pdg/ControlDependence.h"
 #include "pdg/Pdg.h"
+#include "support/BuildOnce.h"
 
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace jslice {
+
+/// The Ball–Horwitz / Choi–Ferrante augmented tier: the augmented
+/// flowgraph, its postdominator tree, and the PDG built from it
+/// (control dependence from the augmented graph, data dependence shared
+/// with the plain PDG).
+struct AugmentedTier {
+  Digraph Graph;
+  DomTree Pdt;
+  Pdg P;
+};
 
 /// Immutable analysis results for one program. Move-only.
 ///
@@ -73,12 +89,18 @@ public:
   /// preferred construction — both graphs left intact).
   const Pdg &pdg() const { return P; }
 
-  /// The Ball–Horwitz / Choi–Ferrante augmented flowgraph and the
-  /// dependence graphs built from it (control from augmented, data from
-  /// plain).
-  const Digraph &augGraph() const { return AugGraph; }
-  const DomTree &augPdt() const { return AugPdt; }
-  const Pdg &augPdg() const { return AugP; }
+  /// The augmented tier, built on first use and charged to \p G. \p G
+  /// is the caller's guard: guard() on the single-shot path, the
+  /// request's own guard on a cached Analysis (whose guard belongs to
+  /// the request that built it, its deadline long past). Null when \p G
+  /// is or becomes exhausted during the build; a tripped build is
+  /// discarded, never handed out, and the next caller builds again.
+  /// Once built, the tier is returned without charging \p G. Safe to
+  /// call from several threads on one shared Analysis.
+  const AugmentedTier *augmentedTier(ResourceGuard &G) const;
+
+  /// Whether the augmented tier has been built (for tests).
+  bool augmentedTierBuilt() const { return Aug->peek() != nullptr; }
 
   /// (Predicate node, jump node) pairs for every conditional-jump
   /// statement `if (p) goto/break/continue/return` — the paper's
@@ -95,6 +117,8 @@ private:
   fromProgramGuarded(std::unique_ptr<Program> Prog,
                      std::shared_ptr<ResourceGuard> Guard);
 
+  std::unique_ptr<AugmentedTier> buildAugmentedTier(ResourceGuard &G) const;
+
   std::shared_ptr<ResourceGuard> GuardPtr;
   std::unique_ptr<Program> ProgPtr;
   Cfg C;
@@ -103,9 +127,8 @@ private:
   DefUse DU;
   ReachingDefinitions RD;
   Pdg P;
-  Digraph AugGraph;
-  DomTree AugPdt;
-  Pdg AugP;
+  /// Heap-held: Analysis moves, and the holder's mutex cannot.
+  std::unique_ptr<BuildOnce<AugmentedTier>> Aug;
   std::vector<std::pair<unsigned, unsigned>> CondJumps;
 };
 

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
@@ -87,14 +88,14 @@ private:
 
   unsigned succCount(unsigned Node) const {
     return static_cast<unsigned>(P.Control.succs(Node).size() +
-                                 P.Data.succs(Node).size());
+                                 P.Data->succs(Node).size());
   }
 
   unsigned succAt(unsigned Node, unsigned I) const {
     const auto &Ctrl = P.Control.succs(Node);
     if (I < Ctrl.size())
       return Ctrl[I];
-    return P.Data.succs(Node)[I - Ctrl.size()];
+    return P.Data->succs(Node)[I - Ctrl.size()];
   }
 
   bool strongConnect(unsigned Root, std::vector<unsigned> &SccId,
@@ -191,7 +192,7 @@ DependenceClosure::DependenceClosure(const Pdg &P, unsigned NumNodes,
         }
       };
       MergePreds(P.Control);
-      MergePreds(P.Data);
+      MergePreds(*P.Data);
     }
   }
   Valid = true;
@@ -575,9 +576,9 @@ SliceResult sliceSimpleClosureBV(const Analysis &A,
 
 /// The algorithm switch over the bitset implementations. \p Aug is the
 /// resolved augmented-PDG cache (Ball–Horwitz only, null otherwise);
-/// an invalid \p Aug means its build tripped the guard — the guard is
-/// latched, so return the same empty partial slice the checkpoint
-/// failure would have produced instead of indexing a half-built cache.
+/// a null \p Aug for Ball–Horwitz means its build tripped the guard —
+/// the guard is latched, so return the same empty partial slice the
+/// checkpoint failure would have produced.
 SliceResult dispatchBV(const Analysis &A, const DependenceClosure &Cache,
                        const DependenceClosure *Aug, const GuardRef &Guard,
                        const ResolvedCriterion &RC,
@@ -596,7 +597,7 @@ SliceResult dispatchBV(const Analysis &A, const DependenceClosure &Cache,
   case SliceAlgorithm::Conservative:
     return sliceConservativeBV(A, Cache, Guard, RC);
   case SliceAlgorithm::BallHorwitz: {
-    if (!Aug || !Aug->valid()) {
+    if (!Aug) {
       SliceResult R;
       R.CriterionNode = RC.Node;
       finishResult(A, BitVector(A.cfg().numNodes()), R);
@@ -633,20 +634,22 @@ const DependenceClosure *BatchSlicer::augFor(SliceAlgorithm Algorithm,
                                              BatchGuardState *Shared) const {
   if (Algorithm != SliceAlgorithm::BallHorwitz)
     return nullptr;
-  std::call_once(AugOnce, [&] {
+  return AugCache.get([&]() -> std::unique_ptr<DependenceClosure> {
     // The build charges \p G directly; under fan-out that guard is
     // shared with workers flushing shards, so hold the shard mutex for
-    // the build's duration (waiters on call_once block anyway).
-    if (Shared) {
-      std::lock_guard<std::mutex> Lock(Shared->M);
-      AugCache = std::make_unique<DependenceClosure>(
-          A.augPdg(), A.cfg().numNodes(), G);
-    } else {
-      AugCache = std::make_unique<DependenceClosure>(
-          A.augPdg(), A.cfg().numNodes(), G);
-    }
+    // the build's duration (other first users block on the build anyway).
+    std::unique_lock<std::mutex> Lock;
+    if (Shared)
+      Lock = std::unique_lock<std::mutex>(Shared->M);
+    const AugmentedTier *Tier = A.augmentedTier(*G);
+    if (!Tier)
+      return nullptr;
+    auto Closures = std::make_unique<DependenceClosure>(
+        Tier->P, A.cfg().numNodes(), G);
+    if (!Closures->valid())
+      return nullptr;
+    return Closures;
   });
-  return AugCache.get();
 }
 
 SliceResult BatchSlicer::slice(const ResolvedCriterion &RC,
@@ -662,8 +665,8 @@ BatchSlicer::sliceShared(const ResolvedCriterion &RC,
   if (!Cache.valid())
     return std::nullopt;
   const DependenceClosure *Aug = augFor(Algorithm, &G, nullptr);
-  if (Algorithm == SliceAlgorithm::BallHorwitz && (!Aug || !Aug->valid()))
-    return std::nullopt; // First builder's budget tripped; stay uncached.
+  if (Algorithm == SliceAlgorithm::BallHorwitz && !Aug)
+    return std::nullopt; // G tripped building the augmented tier.
   GuardRef Guard{G, nullptr};
   return dispatchBV(A, Cache, Aug, Guard, RC, Algorithm);
 }

@@ -44,9 +44,8 @@
 
 #include "slicer/Slicers.h"
 #include "support/BitVector.h"
+#include "support/BuildOnce.h"
 
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -168,13 +167,14 @@ private:
   const Analysis &A;
   DependenceClosure Cache;
   /// Lazily built cache over the augmented PDG (Ball–Horwitz only).
-  mutable std::once_flag AugOnce;
-  mutable std::unique_ptr<DependenceClosure> AugCache;
+  mutable BuildOnce<DependenceClosure> AugCache;
 
   /// Resolves the closure cache for \p Algorithm, lazily building the
-  /// augmented-PDG cache (Ball–Horwitz only) charged to \p G. \p Shared,
-  /// when non-null, serializes that build against concurrent shard
-  /// flushes on the same guard.
+  /// augmented tier and its closure cache (Ball–Horwitz only) charged
+  /// to \p G. Null for other algorithms, and when that build tripped
+  /// \p G (the build is discarded; a later caller builds again under
+  /// its own guard). \p Shared, when non-null, serializes the build
+  /// against concurrent shard flushes on the same guard.
   const DependenceClosure *augFor(SliceAlgorithm Algorithm, ResourceGuard *G,
                                   BatchGuardState *Shared) const;
   SliceResult sliceLocked(const ResolvedCriterion &RC,

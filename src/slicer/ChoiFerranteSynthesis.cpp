@@ -35,7 +35,10 @@ jslice::sliceChoiFerranteSynthesis(const Analysis &A,
   // every guard of every behaviour-relevant jump is present), minus the
   // original jump statements themselves — their routing is re-expressed
   // as synthesized transfers below.
-  std::set<unsigned> Closure = A.augPdg().backwardClosure(RC.Seeds);
+  const AugmentedTier *Aug = A.augmentedTier(A.guard());
+  if (!Aug)
+    return R; // Guard tripped building the tier: empty, like any trip.
+  std::set<unsigned> Closure = Aug->P.backwardClosure(RC.Seeds);
   for (unsigned Node : Closure)
     if (!C.node(Node).isJump())
       R.Kept.insert(Node);

@@ -55,7 +55,9 @@ struct SynthesizedSlice {
   std::set<unsigned> lineSet(const Cfg &C) const;
 };
 
-/// Builds the synthesized slice for \p RC.
+/// Builds the synthesized slice for \p RC. Building the augmented tier
+/// charges A.guard(); when that trips the slice is empty (check
+/// A.guard().exhausted()).
 SynthesizedSlice sliceChoiFerranteSynthesis(const Analysis &A,
                                             const ResolvedCriterion &RC);
 

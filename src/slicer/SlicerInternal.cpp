@@ -27,7 +27,7 @@ void detail::closeWithAdaptation(const Analysis &A, const Pdg &P,
       for (unsigned Dep : P.Control.preds(Node))
         if (Slice.insert(Dep).second)
           Worklist.push_back(Dep);
-      for (unsigned Dep : P.Data.preds(Node))
+      for (unsigned Dep : P.Data->preds(Node))
         if (Slice.insert(Dep).second)
           Worklist.push_back(Dep);
     }

@@ -205,11 +205,17 @@ SliceResult jslice::sliceBallHorwitz(const Analysis &A,
                                      const ResolvedCriterion &RC) {
   SliceResult R;
   R.CriterionNode = RC.Node;
+  // The augmented tier is built on first use, charged to A.guard(); a
+  // trip latches the guard and leaves the slice empty (a partial slice,
+  // as after any trip).
+  const AugmentedTier *Aug = A.augmentedTier(A.guard());
+  if (!Aug)
+    return R;
   // Plain backward reachability over the augmented PDG; jumps enter the
   // slice through augmented control dependence, so no adaptation pass is
   // needed — but running it is harmless and keeps conditional jumps
   // attached to their predicates in degenerate cases.
-  closeWithAdaptation(A, A.augPdg(), R.Nodes, RC.Seeds);
+  closeWithAdaptation(A, Aug->P, R.Nodes, RC.Seeds);
   R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
   return R;
 }

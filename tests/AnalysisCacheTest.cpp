@@ -23,6 +23,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -425,6 +427,257 @@ TEST(AnalysisCacheTest, CleanAuditLeavesTheEntryAlone) {
   EXPECT_EQ(S.Audits, 1u);
   EXPECT_EQ(S.AuditMismatches, 0u);
   EXPECT_EQ(S.Entries, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Cold path: one parse per request, the augmented tier on first use
+//===----------------------------------------------------------------------===//
+
+/// A goto-heavy program on which Ball–Horwitz needs the augmented tier.
+const char *Summation = R"(sum = 0;
+positives = 0;
+L3: if (eof()) goto L14;
+read(x);
+if (x > 0) goto L8;
+sum = sum + f1(x);
+goto L13;
+L8: positives = positives + 1;
+if (x % 2 != 0) goto L12;
+sum = sum + f2(x);
+goto L13;
+L12: sum = sum + f3(x);
+L13: goto L3;
+L14: write(sum);
+write(positives);
+)";
+
+ServiceRequest summationRequest(SliceAlgorithm Algo) {
+  ServiceRequest R;
+  R.Id = "s1";
+  R.Program = Summation;
+  R.Line = 14;
+  R.Vars = {"sum"};
+  R.Algorithm = Algo;
+  return R;
+}
+
+/// The single-shot slice on a fresh Analysis: the ground truth.
+std::set<unsigned> freshLines(const std::string &Src, const Criterion &Crit,
+                              SliceAlgorithm Algo) {
+  ErrorOr<Analysis> A = Analysis::fromSource(Src);
+  EXPECT_TRUE(A.hasValue());
+  ErrorOr<SliceResult> R = computeSlice(*A, Crit, Algo);
+  EXPECT_TRUE(R.hasValue());
+  return R ? R->lineSet(A->cfg()) : std::set<unsigned>();
+}
+
+/// Sweeps every fault-injection ordinal of \p Run and counts the trips
+/// that landed on a parser checkpoint.
+template <typename RunFn> unsigned parserTripsOverSweep(RunFn Run) {
+  FaultInjection::resetCount();
+  Run();
+  uint64_t Total = FaultInjection::observedCheckpoints();
+  EXPECT_GT(Total, 0u);
+  unsigned Trips = 0;
+  for (uint64_t At = 1; At <= Total; ++At) {
+    FaultInjection::ScopedArm Arm(At);
+    Run();
+    Trips += std::strcmp(FaultInjection::trippedSite(), "parser.stmt") == 0;
+  }
+  return Trips;
+}
+
+TEST(ColdPathTest, ColdCachedRequestParsesOnce) {
+  // The cache key parses the program; the ladder's first rung analyzes
+  // that AST instead of parsing it a second time.
+  ExecConfig Cfg;
+  Cfg.DefaultBudget = bigBudget();
+  ServiceRequest R = summationRequest(SliceAlgorithm::Agrawal);
+  unsigned Alone = parserTripsOverSweep([&] {
+    ResourceGuard G(bigBudget());
+    (void)parseProgram(R.Program, G);
+  });
+  unsigned Request = parserTripsOverSweep([&] {
+    AnalysisCache C{Cfg.Cache};
+    (void)executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+  });
+  EXPECT_GT(Alone, 0u);
+  EXPECT_EQ(Request, Alone);
+}
+
+TEST(ColdPathTest, ParseOnceKeepsTheStepBudget) {
+  // Rung 0 pays for the key's parse: a step budget one short of what a
+  // rung that parses for itself needs (parse, analysis, slice) still
+  // starves it, and the request walks down the ladder the same way.
+  ServiceRequest R = summationRequest(SliceAlgorithm::Agrawal);
+  Budget Probe = bigBudget();
+  ErrorOr<Analysis> A = Analysis::fromSource(R.Program, Probe);
+  ASSERT_TRUE(A.hasValue());
+  ASSERT_TRUE(computeSlice(*A, Criterion(R.Line, R.Vars), R.Algorithm));
+  const uint64_t RungSteps = A->guard().steps();
+  ResourceGuard ParseOnly(Probe);
+  ASSERT_TRUE(parseProgram(R.Program, ParseOnly).hasValue());
+  // Enough for the key (its parse and two cache checkpoints).
+  ASSERT_LT(ParseOnly.steps() + 2, RungSteps - 1);
+
+  for (bool Cached : {false, true}) {
+    ExecConfig Cfg;
+    Cfg.DefaultBudget = bigBudget();
+    Cfg.DefaultBudget.MaxSteps = RungSteps - 1;
+    Cfg.Cache.Enabled = Cached;
+    AnalysisCache C{Cfg.Cache};
+    ServiceResponse Resp = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+    ASSERT_FALSE(Resp.Attempts.empty());
+    EXPECT_EQ(Resp.Attempts.front().Outcome, "resource-exhausted")
+        << "cache " << (Cached ? "on" : "off");
+  }
+}
+
+TEST(ColdPathTest, HitOnAnExpiredArtifactBuildsTheTierUnderTheHitsGuard) {
+  // An artifact's own guard belongs to the request that built it; here
+  // its deadline has passed, and it polls on every checkpoint. The
+  // first Ball–Horwitz hit builds the augmented tier and must charge the
+  // hit's guard, not that expired one — unconverged postdominators
+  // would serve a wrong slice from cache.
+  Budget Short = bigBudget();
+  Short.DeadlineMs = 50; // Room for a sanitizer build; then it expires.
+  Short.PollStride = 1;
+  std::shared_ptr<AnalysisArtifact> Art;
+  // A build slower than the deadline (a loaded machine) retries.
+  for (int Try = 0; Try != 20 && !Art; ++Try) {
+    ErrorOr<Analysis> A = Analysis::fromSource(Summation, Short);
+    if (!A)
+      continue;
+    auto Built = std::make_shared<AnalysisArtifact>(std::move(*A));
+    if (Built->BS.closures().valid() && !Built->A.guard().exhausted())
+      Art = std::move(Built);
+  }
+  ASSERT_TRUE(Art) << "no artifact built within the deadline";
+  Art->CostBytes = estimateArtifactCost(*Art, Summation);
+  std::this_thread::sleep_for(std::chrono::milliseconds(Short.DeadlineMs + 10));
+  ASSERT_FALSE(Art->A.augmentedTierBuilt());
+
+  CacheOptions Opts;
+  AnalysisCache C{Opts};
+  const std::string K = keyOf(Summation);
+  ASSERT_EQ(C.lookup(K, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+  C.publish(K, Art);
+
+  ExecConfig Cfg;
+  Cfg.DefaultBudget = bigBudget();
+  Cfg.Cache = Opts;
+  ServiceRequest R = summationRequest(SliceAlgorithm::BallHorwitz);
+  ServiceResponse Resp = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+  ASSERT_EQ(Resp.Status, ResponseStatus::Ok) << Resp.Error;
+  EXPECT_TRUE(Resp.FromCache);
+  EXPECT_TRUE(Art->A.augmentedTierBuilt());
+  EXPECT_EQ(Resp.Lines, freshLines(Summation, Criterion(14, {"sum"}),
+                                   SliceAlgorithm::BallHorwitz));
+}
+
+TEST(ColdPathTest, ConcurrentFirstUseOfTheTierIsRaceFree) {
+  // Eight readers hit one artifact whose augmented tier was never
+  // built, all at once, each under its own guard.
+  std::shared_ptr<AnalysisArtifact> Art = makeArtifact(Summation);
+  ASSERT_FALSE(Art->A.augmentedTierBuilt());
+  std::vector<Criterion> Crits = allLineCriteria(Art->A);
+  std::vector<std::set<unsigned>> Expected;
+  for (const Criterion &Crit : Crits)
+    Expected.push_back(
+        freshLines(Summation, Crit, SliceAlgorithm::BallHorwitz));
+
+  std::atomic<unsigned> Ready{0};
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Readers;
+  for (unsigned T = 0; T != 8; ++T)
+    Readers.emplace_back([&, T] {
+      ++Ready;
+      while (Ready.load() != 8)
+        std::this_thread::yield();
+      for (size_t I = 0; I != Crits.size(); ++I) {
+        const Criterion &Crit = Crits[(I + T) % Crits.size()];
+        ResourceGuard G(bigBudget());
+        ErrorOr<ResolvedCriterion> RC = resolveCriterion(Art->A, Crit);
+        std::optional<SliceResult> S =
+            RC ? Art->BS.sliceShared(*RC, SliceAlgorithm::BallHorwitz, G)
+               : std::nullopt;
+        if (!S || G.exhausted() ||
+            S->lineSet(Art->A.cfg()) != Expected[(I + T) % Crits.size()])
+          ++Mismatches;
+      }
+    });
+  for (std::thread &Th : Readers)
+    Th.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_TRUE(Art->A.augmentedTierBuilt());
+}
+
+TEST(ColdPathTest, HitTrippingMidTierBuildFallsBackToTheLadder) {
+  // Every fault ordinal of a Ball–Horwitz request that hits an artifact
+  // without the augmented tier. A trip while the hit builds the tier
+  // must never serve from cache or keep the half-built tier: the
+  // request goes down the ladder (fresh guards) and still answers
+  // correctly.
+  const std::set<unsigned> Expected = freshLines(
+      Summation, Criterion(14, {"sum"}), SliceAlgorithm::BallHorwitz);
+  const std::string K = keyOf(Summation);
+  ExecConfig Cfg;
+  Cfg.DefaultBudget = bigBudget();
+  ServiceRequest R = summationRequest(SliceAlgorithm::BallHorwitz);
+
+  struct Fixture {
+    explicit Fixture(const CacheOptions &Opts)
+        : C(Opts), Art(makeArtifact(Summation)) {}
+    AnalysisCache C;
+    std::shared_ptr<AnalysisArtifact> Art;
+  };
+  auto Fresh = [&] {
+    auto F = std::make_unique<Fixture>(Cfg.Cache);
+    EXPECT_EQ(F->C.lookup(K, farDeadline()).K,
+              AnalysisCache::Outcome::MustBuild);
+    F->C.publish(K, F->Art);
+    return F;
+  };
+
+  uint64_t Total;
+  {
+    auto F = Fresh();
+    FaultInjection::resetCount();
+    ServiceResponse Clean =
+        executeSliceRequest(R, Cfg, nullptr, nullptr, &F->C);
+    Total = FaultInjection::observedCheckpoints();
+    ASSERT_TRUE(Clean.FromCache);
+    ASSERT_EQ(Clean.Lines, Expected);
+  }
+
+  unsigned TierTrips = 0;
+  for (uint64_t At = 1; At <= Total; ++At) {
+    auto F = Fresh();
+    ServiceResponse Resp;
+    std::string Site;
+    {
+      FaultInjection::ScopedArm Arm(At);
+      Resp = executeSliceRequest(R, Cfg, nullptr, nullptr, &F->C);
+      Site = FaultInjection::trippedSite();
+    }
+    ASSERT_EQ(Resp.Status, ResponseStatus::Ok) << "fault at " << At;
+    EXPECT_EQ(Resp.ServedTier, "ball-horwitz") << "fault at " << At;
+    EXPECT_EQ(Resp.Lines, Expected) << "fault at " << At << " (" << Site
+                                    << ")";
+    if (Site == "dominators.iterate" || Site == "controldep.edge") {
+      ++TierTrips;
+      EXPECT_FALSE(Resp.FromCache) << "fault at " << At;
+      EXPECT_FALSE(F->Art->A.augmentedTierBuilt()) << "fault at " << At;
+      // The next hit, under a budget that holds, builds the tier.
+      R.Id = "s2";
+      ServiceResponse Next =
+          executeSliceRequest(R, Cfg, nullptr, nullptr, &F->C);
+      R.Id = "s1";
+      EXPECT_TRUE(Next.FromCache) << "fault at " << At;
+      EXPECT_EQ(Next.Lines, Expected) << "fault at " << At;
+    }
+  }
+  EXPECT_GT(TierTrips, 0u) << "no ordinal landed inside the tier build";
 }
 
 //===----------------------------------------------------------------------===//

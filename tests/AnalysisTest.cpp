@@ -64,15 +64,16 @@ TEST(AnalysisTest, AugmentedGraphOnlyAddsJumpEdges) {
   size_t Jumps = 0;
   for (unsigned Node = 0; Node != A.cfg().numNodes(); ++Node)
     Jumps += A.cfg().node(Node).isJump();
-  EXPECT_EQ(A.augGraph().numEdges(),
+  EXPECT_EQ(A.augmentedTier(A.guard())->Graph.numEdges(),
             A.cfg().graph().numEdges() + Jumps);
 }
 
 TEST(AnalysisTest, AugmentedPdtDiffersOnJumpPrograms) {
   Analysis A = analyzeOk(paperExample("fig3a").Source);
+  const DomTree &AugPdt = A.augmentedTier(A.guard())->Pdt;
   bool AnyDifferent = false;
   for (unsigned Node = 0; Node != A.cfg().numNodes(); ++Node)
-    if (A.pdt().idom(Node) != A.augPdt().idom(Node))
+    if (A.pdt().idom(Node) != AugPdt.idom(Node))
       AnyDifferent = true;
   EXPECT_TRUE(AnyDifferent)
       << "fall-through edges must change postdominators";

@@ -72,7 +72,7 @@ TEST(DefUseTest, EofUsesTheInputStream) {
 TEST(DataDependenceTest, ReadsChainThroughTheInputStream) {
   Analysis A = analyzeOk("read(x);\nread(y);\nwrite(y);\n");
   unsigned R1 = nodeOn(A, 1), R2 = nodeOn(A, 2);
-  EXPECT_TRUE(A.pdg().Data.hasEdge(R1, R2))
+  EXPECT_TRUE(A.pdg().Data->hasEdge(R1, R2))
       << "slicing away read 1 would shift what read 2 observes";
 }
 
@@ -139,15 +139,15 @@ TEST(ReachingDefsTest, PaperFigure2DataDependences) {
 TEST(DataDependenceTest, EdgesRunFromDefToUse) {
   Analysis A = analyzeOk("x = 1;\ny = x;\nwrite(y);\n");
   unsigned N1 = nodeOn(A, 1), N2 = nodeOn(A, 2), N3 = nodeOn(A, 3);
-  EXPECT_TRUE(A.pdg().Data.hasEdge(N1, N2));
-  EXPECT_TRUE(A.pdg().Data.hasEdge(N2, N3));
-  EXPECT_FALSE(A.pdg().Data.hasEdge(N1, N3));
+  EXPECT_TRUE(A.pdg().Data->hasEdge(N1, N2));
+  EXPECT_TRUE(A.pdg().Data->hasEdge(N2, N3));
+  EXPECT_FALSE(A.pdg().Data->hasEdge(N1, N3));
 }
 
 TEST(DataDependenceTest, SelfDependenceThroughLoop) {
   Analysis A = analyzeOk("x = 0;\nwhile (x < 9)\nx = x + 1;\nwrite(x);\n");
   unsigned Inc = nodeOn(A, 3);
-  EXPECT_TRUE(A.pdg().Data.hasEdge(Inc, Inc))
+  EXPECT_TRUE(A.pdg().Data->hasEdge(Inc, Inc))
       << "x = x + 1 in a loop depends on itself";
 }
 
@@ -156,9 +156,9 @@ TEST(DataDependenceTest, NoEdgesForJumps) {
   for (unsigned Node = 0; Node != A.cfg().numNodes(); ++Node) {
     if (!A.cfg().node(Node).isJump())
       continue;
-    EXPECT_TRUE(A.pdg().Data.succs(Node).empty())
+    EXPECT_TRUE(A.pdg().Data->succs(Node).empty())
         << "nothing may be data dependent on a jump (Section 3)";
-    EXPECT_TRUE(A.pdg().Data.preds(Node).empty());
+    EXPECT_TRUE(A.pdg().Data->preds(Node).empty());
   }
 }
 

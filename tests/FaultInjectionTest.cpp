@@ -159,6 +159,51 @@ TEST(FaultInjectionTest, ExhaustedAnalysisIsNeverHandedOut) {
   }
 }
 
+TEST(FaultInjectionTest, LazyAugmentedTierFailsCleanlyAndRecovers) {
+  // Ball–Horwitz builds the augmented tier on first use, charged to the
+  // Analysis' own guard. A fault anywhere, the tier build included,
+  // must refuse with ResourceExhausted and leave no tier behind; a clean
+  // run afterwards slices exactly as before.
+  const Criterion Crit(14, {"sum"});
+  std::set<unsigned> Expected;
+  FaultInjection::resetCount();
+  {
+    ErrorOr<Analysis> A = Analysis::fromSource(Summation);
+    ASSERT_TRUE(A.hasValue());
+    ErrorOr<SliceResult> R =
+        computeSlice(*A, Crit, SliceAlgorithm::BallHorwitz);
+    ASSERT_TRUE(R.hasValue());
+    EXPECT_TRUE(A->augmentedTierBuilt());
+    Expected = R->lineSet(A->cfg());
+  }
+  uint64_t Total = FaultInjection::observedCheckpoints();
+
+  unsigned TierTrips = 0;
+  for (uint64_t At = 1; At <= Total; ++At) {
+    FaultInjection::ScopedArm Arm(At);
+    ErrorOr<Analysis> A = Analysis::fromSource(Summation);
+    if (!A)
+      continue; // Tripped while analyzing; covered by the sweeps above.
+    ErrorOr<SliceResult> R =
+        computeSlice(*A, Crit, SliceAlgorithm::BallHorwitz);
+    ASSERT_FALSE(R.hasValue()) << "fault at " << At << " was swallowed";
+    EXPECT_TRUE(R.diags().hasKind(DiagKind::ResourceExhausted))
+        << "fault at " << At;
+    std::string Site = FaultInjection::trippedSite();
+    if (Site == "dominators.iterate" || Site == "controldep.edge") {
+      ++TierTrips;
+      EXPECT_FALSE(A->augmentedTierBuilt()) << "fault at " << At;
+    }
+  }
+  EXPECT_GT(TierTrips, 0u);
+
+  ErrorOr<Analysis> A = Analysis::fromSource(Summation);
+  ASSERT_TRUE(A.hasValue());
+  ErrorOr<SliceResult> R = computeSlice(*A, Crit, SliceAlgorithm::BallHorwitz);
+  ASSERT_TRUE(R.hasValue());
+  EXPECT_EQ(R->lineSet(A->cfg()), Expected);
+}
+
 TEST(FaultInjectionTest, InterpreterChargesTheSharedGuard) {
   Budget B;
   ErrorOr<Analysis> A = Analysis::fromSource(Summation, B);

@@ -814,6 +814,22 @@ TEST(TcpServerTest, DrainNeverDispatchesRequestsArrivingAfterStop) {
       << L.Log.str();
 }
 
+TEST(TcpServerTest, PortOutlivesTheDrain) {
+  // The drain closes shard 0's listener on the reactor thread. port()
+  // must not read that fd (a racing getsockname could hit a reused fd
+  // number); it answers the port bound at start(), before and after.
+  TcpServerOptions TOpts;
+  TOpts.Shards = 1;
+  LiveServer L(TOpts);
+  ASSERT_TRUE(L.Started);
+  const uint16_t Bound = L.port();
+  ASSERT_NE(Bound, 0u);
+  L.T.requestStop();
+  L.Loop.join();
+  L.Started = false;
+  EXPECT_EQ(L.port(), Bound);
+}
+
 //===----------------------------------------------------------------------===//
 // Sharded transport
 //===----------------------------------------------------------------------===//

@@ -106,7 +106,7 @@ TEST(AugmentedControlDependenceTest, JumpsBecomeControllingNodes) {
   unsigned Goto7 = nodeOn(A, 7);
   ASSERT_TRUE(A.cfg().node(Goto7).isJump());
   std::set<unsigned> Controlled;
-  for (unsigned Node : A.augPdg().Control.succs(Goto7))
+  for (unsigned Node : A.augmentedTier(A.guard())->P.Control.succs(Goto7))
     if (const Stmt *S = A.cfg().node(Node).S)
       Controlled.insert(S->getLoc().Line);
   EXPECT_TRUE(Controlled.count(8))
@@ -115,8 +115,9 @@ TEST(AugmentedControlDependenceTest, JumpsBecomeControllingNodes) {
 
 TEST(AugmentedControlDependenceTest, PlainAndAugmentedAgreeWithoutJumps) {
   Analysis A = analyzeOk(paperExample("fig1a").Source);
+  const Pdg &AugP = A.augmentedTier(A.guard())->P;
   for (unsigned Node = 0; Node != A.cfg().numNodes(); ++Node)
-    EXPECT_EQ(A.pdg().Control.succs(Node), A.augPdg().Control.succs(Node));
+    EXPECT_EQ(A.pdg().Control.succs(Node), AugP.Control.succs(Node));
 }
 
 TEST(PdgTest, CombinedGraphMergesBothEdgeKinds) {

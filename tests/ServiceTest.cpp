@@ -1278,6 +1278,42 @@ TEST(ServerTest, DuplicateIdIsAnsweredExactlyTwice) {
   EXPECT_GE(Ok, 1u);
 }
 
+TEST(ServerTest, IdIsFreeOnceItsResponseIsWritten) {
+  // A client may resubmit an id the moment it reads that id's response.
+  // The id must already be out of the in-flight registry by then; this
+  // sink resubmits synchronously from inside the write, so the
+  // resubmission is refused as "already in flight" if the registry is
+  // cleared only after the sink returns.
+  ServerOptions Opts;
+  Opts.Threads = 1;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  ServiceRequest Req;
+  Req.Id = "again";
+  Req.Program = TinyProgram;
+  Req.Line = 2;
+  const std::string Line = Req.toJson().str();
+
+  std::mutex M;
+  std::vector<std::string> Responses;
+  ResponseSink Sink = [&](const std::string &Resp) {
+    bool First;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Responses.push_back(Resp);
+      First = Responses.size() == 1;
+    }
+    if (First)
+      S.serveLine(Line, Sink);
+  };
+  S.serveLine(Line, Sink);
+  S.finish();
+
+  ASSERT_EQ(Responses.size(), 2u);
+  for (const std::string &R : Responses)
+    EXPECT_EQ(parsed(R).find("status")->asString(), "ok") << R;
+}
+
 TEST(ServerTest, CancelStopsAQueuedRequest) {
   // One worker; the first request occupies it while the second sits
   // queued; the cancel for the queued one lands before a worker ever
